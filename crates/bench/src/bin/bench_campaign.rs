@@ -151,7 +151,7 @@ fn main() {
     // JIT-in-mutants A/B arm on the same 1120-spec sweep: mutant
     // suffixes now execute natively (the arena survives each per-mutant
     // restore, the flight ring is written from the native prologues,
-    // and armed fault masks cost a per-dispatch bail), so the jit-off
+    // and armed fault masks run the masked native variant), so the jit-off
     // arm times what the whole campaign loses without the native tier.
     // Classifications must be bit-identical either way.
     let nojit_campaign = Campaign::prepare(

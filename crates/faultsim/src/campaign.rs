@@ -136,8 +136,8 @@ pub struct CampaignConfig {
     /// each per-mutant snapshot restore (blocks re-validate against the
     /// code bytes they were compiled from), an armed flight recorder is
     /// written from the native block prologues, and armed stuck-at
-    /// fault masks cost a per-dispatch bail rather than gating the run,
-    /// so only the injection instant itself interprets. This is the
+    /// fault masks run each block's masked native variant, so only the
+    /// injection instant itself interprets. This is the
     /// `--no-jit` A/B switch over the whole campaign — golden run,
     /// prefix replays, pruning analysis and every mutant suffix.
     pub jit: bool,

@@ -262,6 +262,11 @@ fn classify_case(campaign: &Campaign, spec: &FaultSpec, golden_len: u64) -> Case
             if bit >= 32 {
                 return Case::Execute(None);
             }
+            if reg == s4e_isa::Gpr::ZERO && !value {
+                // Forces a bit of x0 that is always 0: every read is the
+                // golden one, so the mutant replays the golden run.
+                return Case::Known(FaultOutcome::Masked);
+            }
             Case::Execute(Some(DeltaKey::StuckGpr(reg, bit, value)))
         }
         // FPR stuck-ats are time-zero value forces on boot-zero

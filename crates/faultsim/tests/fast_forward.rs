@@ -206,7 +206,8 @@ fn interrupt_free_golden_reports_unarmed_trace() {
 #[test]
 fn fast_forward_efficiency_metrics_flow_into_progress() {
     // Pruning off: the per-mutant restore accounting below assumes
-    // every mutant executes.
+    // every mutant executes. Default engine: the JIT is on, so stuck-at
+    // suffixes run through the masked native variant.
     let mut c = campaign(WORK_PROGRAM, &CampaignConfig::new().threads(2).prune(false));
     let progress = Arc::new(CampaignProgress::new());
     c.set_progress(Arc::clone(&progress));
@@ -221,9 +222,28 @@ fn fast_forward_efficiency_metrics_flow_into_progress() {
     assert!(snap.counter("campaign_snapshots_taken").unwrap_or(0) > 0);
     // Restores moved at least the image pages on first touch.
     assert!(snap.counter("campaign_dirty_pages_restored").unwrap_or(0) > 0);
-    // The fast dispatch paths (chained successors plus jump-cache hits)
-    // saw traffic and mostly hit; chaining drains traffic that used to
-    // count as jump-cache hits, so both feed the same assertion.
+    // Fault campaigns execute with per-insn replay near injection points,
+    // but hot stretches still run lowered: fused micro-ops must execute.
+    // (Lowering itself happens on the prepare-run golden VP whose stats
+    // are not recorded — workers adopt its blocks warm.)
+    assert!(snap.counter("campaign_fused_executed").unwrap_or(0) > 0);
+    assert!(snap.counter("campaign_warm_translations").unwrap_or(0) > 0);
+    // Suffixes ran native, and armed fault masks did not turn them away.
+    assert!(snap.counter("campaign_jit_blocks_executed").unwrap_or(0) > 0);
+    assert_eq!(snap.counter("campaign_jit_bail_mask_armed"), Some(0));
+
+    // The interpreter's fast dispatch paths (chained successors plus
+    // jump-cache hits) saw traffic and mostly hit; chaining drains
+    // traffic that used to count as jump-cache hits, so both feed the
+    // same assertion. JIT off: native chains bypass this dispatcher.
+    let mut interp = campaign(
+        WORK_PROGRAM,
+        &CampaignConfig::new().threads(2).prune(false).jit(false),
+    );
+    let progress_interp = Arc::new(CampaignProgress::new());
+    interp.set_progress(Arc::clone(&progress_interp));
+    interp.run_all(&specs);
+    let snap = progress_interp.snapshot();
     let hits = snap.counter("campaign_jmp_cache_hits").unwrap_or(0);
     let misses = snap.counter("campaign_jmp_cache_misses").unwrap_or(0);
     let chained = snap.counter("campaign_chain_hits").unwrap_or(0);
@@ -231,12 +251,6 @@ fn fast_forward_efficiency_metrics_flow_into_progress() {
         hits + chained > misses,
         "hits {hits} + chained {chained} vs misses {misses}"
     );
-    // Fault campaigns execute with per-insn replay near injection points,
-    // but hot stretches still run lowered: fused micro-ops must execute.
-    // (Lowering itself happens on the prepare-run golden VP whose stats
-    // are not recorded — workers adopt its blocks warm.)
-    assert!(snap.counter("campaign_fused_executed").unwrap_or(0) > 0);
-    assert!(snap.counter("campaign_warm_translations").unwrap_or(0) > 0);
 
     // With fast-forward off, no snapshots are restored at all.
     let mut legacy = campaign(

@@ -106,6 +106,47 @@ fn read_flip_still_executes() {
 }
 
 #[test]
+fn x0_stuck_at_zero_classifies_masked_without_executing() {
+    // x0 reads 0 on every path, so forcing one of its bits to 0 replays
+    // the golden run: Masked by the plan, no restore, no run. Forcing
+    // the bit to 1 changes every `li` and still executes.
+    let src = r#"
+        li a0, 5
+        add a1, a0, zero
+        ebreak
+    "#;
+    let stuck = |value| FaultSpec {
+        target: FaultTarget::GprBit {
+            reg: Gpr::ZERO,
+            bit: 3,
+        },
+        kind: FaultKind::StuckAt { value },
+    };
+    let (outcomes, dead, dedup, restores) = sweep(src, &CampaignConfig::new(), &[stuck(false)]);
+    assert_eq!(outcomes, [FaultOutcome::Masked]);
+    assert_eq!((dead, dedup, restores), (1, 0, 0));
+
+    let (outcomes, dead, dedup, restores) = sweep(src, &CampaignConfig::new(), &[stuck(true)]);
+    assert_eq!(outcomes, [FaultOutcome::SilentCorruption]);
+    assert_eq!(
+        (dead, dedup, restores),
+        (0, 0, 1),
+        "stuck-at-1 on x0 executes"
+    );
+
+    // The executing path agrees on both.
+    let (executed, _, _, _) = sweep(
+        src,
+        &CampaignConfig::new().prune(false),
+        &[stuck(false), stuck(true)],
+    );
+    assert_eq!(
+        executed,
+        [FaultOutcome::Masked, FaultOutcome::SilentCorruption]
+    );
+}
+
+#[test]
 fn fpr_flips_prune_like_gprs() {
     let src = r#"
         la t0, data

@@ -50,8 +50,24 @@ pub struct Cpu {
     fcsr: u32,
     // permanent-fault (stuck-at) masks, applied on GPR read
     faults_enabled: bool,
-    gpr_stuck_one: [u32; 32],
-    gpr_stuck_zero: [u32; 32],
+    masks: GprMasks,
+}
+
+/// The stuck-at masks of `x0..x31`, laid out as the template JIT's
+/// masked variant reads them: 32 stuck-one words, then 32 keep words
+/// (`!stuck_zero`). A faulted read is `(raw | stuck_one) & keep`.
+#[repr(C)]
+#[derive(Debug, Clone)]
+pub(crate) struct GprMasks {
+    stuck_one: [u32; 32],
+    keep: [u32; 32],
+}
+
+impl GprMasks {
+    const CLEAR: GprMasks = GprMasks {
+        stuck_one: [0; 32],
+        keep: [u32::MAX; 32],
+    };
 }
 
 impl Cpu {
@@ -74,8 +90,7 @@ impl Cpu {
             mtval: 0,
             fcsr: 0,
             faults_enabled: false,
-            gpr_stuck_one: [0; 32],
-            gpr_stuck_zero: [0; 32],
+            masks: GprMasks::CLEAR,
         }
     }
 
@@ -100,7 +115,7 @@ impl Cpu {
         let i = reg.index() as usize;
         let v = self.gprs[i];
         if self.faults_enabled {
-            (v | self.gpr_stuck_one[i]) & !self.gpr_stuck_zero[i]
+            (v | self.masks.stuck_one[i]) & self.masks.keep[i]
         } else {
             v
         }
@@ -116,11 +131,20 @@ impl Cpu {
 
     /// Raw pointer to the GPR file for the template JIT. Compiled code
     /// reads and writes `gprs[1..32]` directly (and never writes slot 0,
-    /// preserving the hard-wired `x0`); valid only while no stuck-at
-    /// fault masks are active — the JIT dispatcher checks
-    /// [`faults_enabled`](Cpu::faults_enabled) before every native run.
+    /// preserving the hard-wired `x0`). Its plain variant reads the
+    /// slots raw, so the dispatcher runs it only while
+    /// [`faults_enabled`](Cpu::faults_enabled) is clear; the masked
+    /// variant filters every read through [`gpr_masks_ptr`](Cpu::gpr_masks_ptr)
+    /// exactly like [`gpr`](Cpu::gpr).
     pub(crate) fn gprs_ptr(&mut self) -> *mut u32 {
         self.gprs.as_mut_ptr()
+    }
+
+    /// Raw pointer to the 64-word [`GprMasks`] table the template JIT's
+    /// masked variant reads: stuck-one words of `x0..x31`, then their
+    /// keep words.
+    pub(crate) fn gpr_masks_ptr(&self) -> *const u32 {
+        core::ptr::from_ref(&self.masks).cast::<u32>()
     }
 
     /// Reads a floating-point register (raw bits).
@@ -199,8 +223,11 @@ impl Cpu {
             h = word(h, v);
         }
         h = word(h, u32::from(self.faults_enabled));
-        for &m in self.gpr_stuck_one.iter().chain(&self.gpr_stuck_zero) {
+        for &m in &self.masks.stuck_one {
             h = word(h, m);
+        }
+        for &k in &self.masks.keep {
+            h = word(h, !k);
         }
         h
     }
@@ -388,11 +415,11 @@ impl Cpu {
         let i = reg.index() as usize;
         let mask = 1u32 << bit;
         if stuck_value {
-            self.gpr_stuck_one[i] |= mask;
-            self.gpr_stuck_zero[i] &= !mask;
+            self.masks.stuck_one[i] |= mask;
+            self.masks.keep[i] |= mask;
         } else {
-            self.gpr_stuck_zero[i] |= mask;
-            self.gpr_stuck_one[i] &= !mask;
+            self.masks.keep[i] &= !mask;
+            self.masks.stuck_one[i] &= !mask;
         }
         self.faults_enabled = true;
     }
@@ -433,8 +460,7 @@ impl Cpu {
 
     /// Removes all planted permanent faults.
     pub fn clear_faults(&mut self) {
-        self.gpr_stuck_one = [0; 32];
-        self.gpr_stuck_zero = [0; 32];
+        self.masks = GprMasks::CLEAR;
         self.faults_enabled = false;
     }
 }

@@ -43,6 +43,22 @@
 //!   and requests the deferred invalidation, exactly like the
 //!   interpreter's fast path.
 //!
+//! ## Plain and masked variants
+//!
+//! A block compiles in up to two variants, keyed `(pc, masked)`. The
+//! plain variant reads guest registers raw and runs while no stuck-at
+//! fault mask is armed. The masked variant runs while
+//! `Cpu::faults_enabled` is set and sends every guest-register read —
+//! `x0` included — through one helper: load, `or` the register's
+//! stuck-one mask, `and` its keep mask (`!stuck_zero`), which is the
+//! read-side rule of `Cpu::gpr`. The masks are read at run time from a
+//! table reached through `rbp`, so one masked compile serves every
+//! stuck-at mutant. Fused micro-ops write their intermediate register
+//! raw and re-read it through the helper, reproducing the
+//! per-instruction sequence exactly; only a fused `auipc` access whose
+//! base-register masks change the `auipc` value bails
+//! ([`BAIL_MASK`]). Chains never cross variants.
+//!
 //! ## Arena lifecycle
 //!
 //! Code lives in one lazily-`mmap`'d arena per VP, toggled between RW
@@ -89,6 +105,10 @@ pub(crate) const BAIL_BUDGET: u32 = 2;
 /// A store overlapped the translated code range (self-modifying code):
 /// the micro-op engine re-executes it and schedules the invalidation.
 pub(crate) const BAIL_SMC: u32 = 3;
+/// Masked variant only: a fused `auipc` access whose base register's
+/// stuck-at masks change the `auipc` value, so the static address is
+/// wrong; the micro-op engine replays the pair per instruction.
+pub(crate) const BAIL_MASK: u32 = 4;
 
 /// Outcome of a compilation attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,16 +178,17 @@ mod stub {
             None
         }
 
-        pub(crate) fn retained(&self, _pc: u32) -> Option<(usize, u64, u32)> {
+        pub(crate) fn retained(&self, _pc: u32, _masked: bool) -> Option<(usize, u64, u32)> {
             None
         }
 
-        pub(crate) fn drop_retained(&mut self, _pc: u32) {}
+        pub(crate) fn drop_retained(&mut self, _pc: u32, _masked: bool) {}
 
         #[allow(clippy::too_many_arguments)]
         pub(crate) fn compile(
             &mut self,
             _pc: u32,
+            _masked: bool,
             _uops: &[MicroOp],
             _fall_pc: u32,
             _ram_base: u32,
@@ -184,6 +205,7 @@ mod stub {
             &mut self,
             _entry: usize,
             _gprs: *mut u32,
+            _masks: *const u32,
             _ram: *mut u8,
             _dirty: *mut u64,
             _remaining: u64,
@@ -200,7 +222,7 @@ mod stub {
 
 #[cfg(target_arch = "x86_64")]
 mod native {
-    use super::{Compiled, JitExit, BAIL_BUDGET, BAIL_MEM, BAIL_NONE, BAIL_SMC};
+    use super::{Compiled, JitExit, BAIL_BUDGET, BAIL_MASK, BAIL_MEM, BAIL_NONE, BAIL_SMC};
     use crate::bus::PAGE_SHIFT;
     use crate::flight::FlightRing;
     use crate::uop::{MicroOp, Op};
@@ -425,6 +447,9 @@ mod native {
         instret_bias: u64, // 88 (in)
         /// One of the `BAIL_*` codes (out; meaningful on bail exits).
         bail_reason: u32, // 96
+        /// The 64-word stuck-at mask table (`Cpu::gpr_masks_ptr`); the
+        /// trampoline points `rbp` 128 bytes into it.
+        masks: *const u32, // 104 (in)
     }
 
     const OFF_GPRS: i8 = 0;
@@ -442,6 +467,7 @@ mod native {
     const OFF_FLIGHT: i8 = 80;
     const OFF_INSTRET_BIAS: i8 = 88;
     const OFF_BAIL_REASON: i8 = 96;
+    const OFF_MASKS: i8 = 104;
 
     // Offsets into the `repr(C)` [`FlightRing`] header (asserted
     // against the real layout by a test in `flight.rs`) and its 32-byte
@@ -462,7 +488,8 @@ mod native {
 
     // Host register numbers (x86-64 encoding values). Fixed roles
     // inside native code: r15 = ctx, rbx = GPR file, r13 = RAM base,
-    // r14 = remaining instruction budget; rax/rcx/rdx are scratch.
+    // r14 = remaining instruction budget, rbp = stuck-at mask table
+    // (+128, read by the masked variant only); rax/rcx/rdx are scratch.
     const RAX: u8 = 0;
     const RCX: u8 = 1;
     const RDX: u8 = 2;
@@ -909,6 +936,11 @@ mod native {
         len: u32,
     }
 
+    /// A compiled block's identity: start pc and variant (`true` =
+    /// masked). Chain sites only ever target a block of their own
+    /// variant.
+    type Key = (u32, bool);
+
     /// The per-VP template JIT: code arena, entry-point map and the
     /// cross-block chain patch lists.
     #[derive(Debug)]
@@ -924,17 +956,17 @@ mod native {
         epilogue: usize,
         /// End of the trampoline/epilogue region — the reset point.
         code_start: usize,
-        /// Block start pc -> compiled block (entry offset + retention
+        /// Block key -> compiled block (entry offset + retention
         /// metadata).
-        blocks: HashMap<u32, NativeBlock>,
-        /// Target pc -> rel32 chain sites waiting for that block.
-        pending: HashMap<u32, Vec<usize>>,
-        /// Target pc -> rel32 chain sites already patched to jump into
+        blocks: HashMap<Key, NativeBlock>,
+        /// Target key -> rel32 chain sites waiting for that block.
+        pending: HashMap<Key, Vec<usize>>,
+        /// Target key -> rel32 chain sites already patched to jump into
         /// that block's entry. Dropping a block (restore dirtied its
         /// code page, or revalidation missed) re-points each inbound
         /// site to rel32 = 0, i.e. its local fall-through exit stub,
         /// and re-queues it on `pending` for a future recompile.
-        applied: HashMap<u32, Vec<usize>>,
+        applied: HashMap<Key, Vec<usize>>,
         ctx: JitCtx,
     }
 
@@ -973,6 +1005,7 @@ mod native {
                     flight: core::ptr::null_mut(),
                     instret_bias: 0,
                     bail_reason: BAIL_NONE,
+                    masks: core::ptr::null(),
                 },
             })
         }
@@ -1028,10 +1061,10 @@ mod native {
                     .get((page >> 6) as usize)
                     .is_some_and(|w| w & (1u64 << (page & 63)) != 0)
             };
-            let dropped: Vec<u32> = self
+            let dropped: Vec<Key> = self
                 .blocks
                 .iter()
-                .filter(|(pc, b)| {
+                .filter(|((pc, _), b)| {
                     if b.hash == 0 {
                         return true;
                     }
@@ -1046,7 +1079,7 @@ mod native {
                         .map(crate::vp::fnv1a)
                         != Some(b.hash)
                 })
-                .map(|(pc, _)| *pc)
+                .map(|(key, _)| *key)
                 .collect();
             self.drop_blocks(dropped)
         }
@@ -1063,13 +1096,13 @@ mod native {
         /// compile-time hashes — and chain jumps between them — stay
         /// exact).
         pub(crate) fn invalidate_span(&mut self, addr: u32, len: u32) -> Option<(u32, u32)> {
-            let dropped: Vec<u32> = self
+            let dropped: Vec<Key> = self
                 .blocks
                 .iter()
-                .filter(|(pc, b)| {
-                    addr.wrapping_add(len) > **pc && addr < pc.wrapping_add(b.len)
+                .filter(|((pc, _), b)| {
+                    addr.wrapping_add(len) > *pc && addr < pc.wrapping_add(b.len)
                 })
-                .map(|(pc, _)| *pc)
+                .map(|(key, _)| *key)
                 .collect();
             self.drop_blocks(dropped)
         }
@@ -1079,7 +1112,7 @@ mod native {
         /// epilogue form, re-queued as pending), and recomputes the
         /// surviving code range. Resets the engine outright when nothing
         /// survives.
-        fn drop_blocks(&mut self, dropped: Vec<u32>) -> Option<(u32, u32)> {
+        fn drop_blocks(&mut self, dropped: Vec<Key>) -> Option<(u32, u32)> {
             if dropped.len() == self.blocks.len() {
                 self.reset();
                 return None;
@@ -1087,46 +1120,50 @@ mod native {
             if !dropped.is_empty() {
                 let arena = self.arena.as_mut().expect("compiled blocks imply an arena");
                 arena.set_exec(false);
-                for pc in dropped {
-                    self.blocks.remove(&pc);
-                    if let Some(sites) = self.applied.remove(&pc) {
+                for key in dropped {
+                    self.blocks.remove(&key);
+                    if let Some(sites) = self.applied.remove(&key) {
                         for &site in &sites {
                             arena.patch32(site, 0);
                         }
-                        self.pending.entry(pc).or_default().extend(sites);
+                        self.pending.entry(key).or_default().extend(sites);
                     }
                 }
                 arena.set_exec(true);
             }
             let (mut lo, mut hi) = (u32::MAX, 0u32);
-            for (pc, b) in &self.blocks {
+            for ((pc, _), b) in &self.blocks {
                 lo = lo.min(*pc);
                 hi = hi.max(pc.wrapping_add(b.len));
             }
             Some((lo, hi))
         }
 
-        /// A retained block awaiting re-adoption at `pc`, as
-        /// `(entry, hash, len)`. The caller re-validates `hash` against
-        /// the current code bytes before running the entry.
-        pub(crate) fn retained(&self, pc: u32) -> Option<(usize, u64, u32)> {
-            self.blocks.get(&pc).map(|b| (b.entry, b.hash, b.len))
+        /// A retained block of the given variant awaiting re-adoption
+        /// at `pc`, as `(entry, hash, len)`. The caller re-validates
+        /// `hash` against the current code bytes before running the
+        /// entry.
+        pub(crate) fn retained(&self, pc: u32, masked: bool) -> Option<(usize, u64, u32)> {
+            self.blocks
+                .get(&(pc, masked))
+                .map(|b| (b.entry, b.hash, b.len))
         }
 
         /// Drops one retained block whose revalidation missed, severing
         /// any chain sites patched into it.
-        pub(crate) fn drop_retained(&mut self, pc: u32) {
-            if self.blocks.remove(&pc).is_none() {
+        pub(crate) fn drop_retained(&mut self, pc: u32, masked: bool) {
+            let key = (pc, masked);
+            if self.blocks.remove(&key).is_none() {
                 return;
             }
-            if let Some(sites) = self.applied.remove(&pc) {
+            if let Some(sites) = self.applied.remove(&key) {
                 let arena = self.arena.as_mut().expect("compiled blocks imply an arena");
                 arena.set_exec(false);
                 for &site in &sites {
                     arena.patch32(site, 0);
                 }
                 arena.set_exec(true);
-                self.pending.entry(pc).or_default().extend(sites);
+                self.pending.entry(key).or_default().extend(sites);
             }
         }
 
@@ -1156,6 +1193,8 @@ mod native {
             a.mov_r64_mem(RBX, R15, OFF_GPRS);
             a.mov_r64_mem(R13, R15, OFF_RAM);
             a.mov_r64_mem(R14, R15, OFF_REMAINING);
+            a.mov_r64_mem(RBP, R15, OFF_MASKS);
+            a.add_r64_imm(RBP, 128);
             a.jmp_reg(RSI);
             // Shared epilogue: every exit/bail stub jumps here with
             // exit_pc/bail_uop and the accounting fields already
@@ -1189,8 +1228,11 @@ mod native {
         /// - `code_lo..code_hi` must cover every guest address whose
         ///   translation is live (same contract as the interpreter's
         ///   SMC filter).
-        /// - Register faults must be disabled and no plugin attached:
-        ///   templates read the GPR file raw.
+        /// - `masks` must point to the 64-word stuck-at mask table
+        ///   (`Cpu::gpr_masks_ptr`) of the same CPU, valid for the call.
+        ///   Plain-variant entries must only run while no fault mask is
+        ///   armed: they read the GPR file raw. No plugin may be
+        ///   attached.
         /// - `flight` is either null or an exclusively borrowed
         ///   [`FlightRing`] whose buffer stays valid for the call.
         #[allow(clippy::too_many_arguments)]
@@ -1198,6 +1240,7 @@ mod native {
             &mut self,
             entry: usize,
             gprs: *mut u32,
+            masks: *const u32,
             ram: *mut u8,
             dirty: *mut u64,
             remaining: u64,
@@ -1224,6 +1267,7 @@ mod native {
                 flight,
                 instret_bias,
                 bail_reason: BAIL_NONE,
+                masks,
             };
             // SAFETY (per the function contract): `trampoline` and
             // `entry` point at finalized code in the R+X exec view; the
@@ -1247,8 +1291,10 @@ mod native {
         }
 
         /// Compiles a block's micro-ops into native code and installs
-        /// it at `pc`, patching any chain sites that were waiting for
-        /// this block. `hash` is the FNV-1a hash of the block's guest
+        /// it at `(pc, masked)`, patching any chain sites of the same
+        /// variant that were waiting for this block. `masked` selects
+        /// the variant that reads guest registers through the stuck-at
+        /// masks. `hash` is the FNV-1a hash of the block's guest
         /// code bytes, kept for post-restore revalidation (0 = not
         /// hashable, never retained). Returns [`Compiled::Ineligible`]
         /// when any micro-op lacks a template, a fused-`auipc` access
@@ -1258,6 +1304,7 @@ mod native {
         pub(crate) fn compile(
             &mut self,
             pc: u32,
+            masked: bool,
             uops: &[MicroOp],
             fall_pc: u32,
             ram_base: u32,
@@ -1354,8 +1401,10 @@ mod native {
 
             // Body: one template per micro-op, with running
             // path-constant sums (cycles / retired / fused ops) of the
-            // micro-ops *completed before* the one being emitted.
-            let g = |r: u8| -> i8 { (r as i8) * 4 };
+            // micro-ops *completed before* the one being emitted. Guest
+            // registers are read through `gpr_read`/`alu_gpr`/
+            // `movsxd_gpr` (raw in the plain variant, masked in the
+            // masked one) and written raw.
             let mut cyc: u64 = 0;
             let mut n: u64 = 0;
             let mut fused: u64 = 0;
@@ -1375,7 +1424,14 @@ mod native {
                 match u.op {
                     Op::Nop => {}
                     Op::LoadConst => {
-                        if rd != 0 {
+                        if rd != 0 && masked && u.n > 1 {
+                            // `lui`/`auipc` writes its half raw, the
+                            // `addi` re-reads it through the masks.
+                            a.mov_mem32_imm(RBX, g(rd), u.imm2);
+                            a.gpr_read(true, RAX, rd);
+                            a.alu_ri32(0, RAX, u.imm.wrapping_sub(u.imm2));
+                            a.mov_mem_r32(RBX, g(rd), RAX);
+                        } else if rd != 0 {
                             a.mov_mem32_imm(RBX, g(rd), u.imm);
                         }
                     }
@@ -1387,7 +1443,7 @@ mod native {
                                 Op::Andi => 4,
                                 _ => 6,
                             };
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
+                            a.gpr_read(masked, RAX, rs1);
                             if !(u.op == Op::Addi && u.imm == 0) {
                                 a.alu_ri32(ext, RAX, u.imm);
                             }
@@ -1396,7 +1452,7 @@ mod native {
                     }
                     Op::Slti | Op::Sltiu => {
                         if rd != 0 {
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
+                            a.gpr_read(masked, RAX, rs1);
                             a.alu_ri32(7, RAX, u.imm);
                             a.setcc_zx32(if u.op == Op::Slti { CC_L } else { CC_B }, RAX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
@@ -1409,7 +1465,7 @@ mod native {
                                 Op::Srli => 5,
                                 _ => 7,
                             };
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
+                            a.gpr_read(masked, RAX, rs1);
                             a.shift_ri32(ext, RAX, (u.imm as u32 & 31) as u8);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
@@ -1423,15 +1479,15 @@ mod native {
                                 Op::Or => 0x0b,
                                 _ => 0x23,
                             };
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
-                            a.alu_r32_mem(opc, RAX, RBX, g(rs2));
+                            a.gpr_read(masked, RAX, rs1);
+                            a.alu_gpr(masked, opc, RAX, rs2);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
                     }
                     Op::Slt | Op::Sltu => {
                         if rd != 0 {
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
-                            a.alu_r32_mem(0x3b, RAX, RBX, g(rs2));
+                            a.gpr_read(masked, RAX, rs1);
+                            a.alu_gpr(masked, 0x3b, RAX, rs2);
                             a.setcc_zx32(if u.op == Op::Slt { CC_L } else { CC_B }, RAX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
@@ -1443,16 +1499,16 @@ mod native {
                                 Op::Srl => 5,
                                 _ => 7,
                             };
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
-                            a.mov_r32_mem(RCX, RBX, g(rs2));
+                            a.gpr_read(masked, RAX, rs1);
+                            a.gpr_read(masked, RCX, rs2);
                             a.shift_cl32(ext, RAX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
                     }
                     Op::Mul => {
                         if rd != 0 {
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
-                            a.mov_r32_mem(RCX, RBX, g(rs2));
+                            a.gpr_read(masked, RAX, rs1);
+                            a.gpr_read(masked, RCX, rs2);
                             a.imul_rr32(RAX, RCX);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
@@ -1460,14 +1516,14 @@ mod native {
                     Op::Mulh | Op::Mulhsu | Op::Mulhu => {
                         if rd != 0 {
                             if u.op == Op::Mulhu {
-                                a.mov_r32_mem(RAX, RBX, g(rs1));
+                                a.gpr_read(masked, RAX, rs1);
                             } else {
-                                a.movsxd_mem(RAX, RBX, g(rs1));
+                                a.movsxd_gpr(masked, RAX, rs1);
                             }
                             if u.op == Op::Mulh {
-                                a.movsxd_mem(RCX, RBX, g(rs2));
+                                a.movsxd_gpr(masked, RCX, rs2);
                             } else {
-                                a.mov_r32_mem(RCX, RBX, g(rs2));
+                                a.gpr_read(masked, RCX, rs2);
                             }
                             a.imul_rr64(RAX, RCX);
                             a.shr_r64(RAX, 32);
@@ -1476,15 +1532,20 @@ mod native {
                     }
                     Op::ShiftPair => {
                         if rd != 0 {
-                            a.mov_r32_mem(RAX, RBX, g(rs1));
+                            a.gpr_read(masked, RAX, rs1);
                             a.shift_ri32(4, RAX, (u.imm as u32 & 31) as u8);
+                            if masked {
+                                // `srli` re-reads the `slli` result.
+                                a.mov_mem_r32(RBX, g(rd), RAX);
+                                a.gpr_read(true, RAX, rd);
+                            }
                             a.shift_ri32(5, RAX, (u.imm2 as u32 & 31) as u8);
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
                     }
                     Op::Lb | Op::Lh | Op::Lw | Op::Lbu | Op::Lhu => {
                         let (size, signed) = load_kind(u.op);
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        a.gpr_read(masked, RAX, rs1);
                         if u.imm != 0 {
                             a.alu_ri32(0, RAX, u.imm);
                         }
@@ -1503,7 +1564,7 @@ mod native {
                     }
                     Op::Sb | Op::Sh | Op::Sw => {
                         let size = store_size(u.op);
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        a.gpr_read(masked, RAX, rs1);
                         if u.imm != 0 {
                             a.alu_ri32(0, RAX, u.imm);
                         }
@@ -1533,7 +1594,7 @@ mod native {
                         a.shift_ri32(5, RCX, 12);
                         a.mov_r64_mem(RDX, R15, OFF_DIRTY);
                         a.bts_mem_r64(RDX, RCX);
-                        a.mov_r32_mem(RCX, RBX, g(rs2));
+                        a.gpr_read(masked, RCX, rs2);
                         a.ram_dyn(RCX, size, false, true);
                     }
                     Op::AbsLb | Op::AbsLh | Op::AbsLw | Op::AbsLbu | Op::AbsLhu => {
@@ -1544,6 +1605,9 @@ mod native {
                         let (size, signed) = load_kind(u.op);
                         let off = (u.imm as u32).wrapping_sub(ram_base);
                         abs_extra = cost2;
+                        if masked {
+                            abs_mask_check(&mut a, &mut bails, u, k, cyc, n, fused);
+                        }
                         if rs1 != 0 {
                             a.mov_mem32_imm(RBX, g(rs1), u.imm2);
                         }
@@ -1556,8 +1620,11 @@ mod native {
                         let size = store_size(u.op);
                         let off = (u.imm as u32).wrapping_sub(ram_base);
                         abs_extra = cost2;
-                        // SMC filter first: the bail must precede the
-                        // auipc half's register write.
+                        // Mask check and SMC filter first: both bails
+                        // must precede the auipc half's register write.
+                        if masked {
+                            abs_mask_check(&mut a, &mut bails, u, k, cyc, n, fused);
+                        }
                         let bail = bail_label(&mut a, &mut bails, k, cyc, n, fused, BAIL_SMC);
                         let ok = a.label();
                         a.mov_ri32(RCX, (u.imm as u32).wrapping_add(size as u32) as i32);
@@ -1573,7 +1640,7 @@ mod native {
                         a.mov_r64_mem(RDX, R15, OFF_DIRTY);
                         a.mov_ri32(RAX, (off >> 12) as i32);
                         a.bts_mem_r64(RDX, RAX);
-                        a.mov_r32_mem(RCX, RBX, g(rs2));
+                        a.gpr_read(masked, RCX, rs2);
                         a.ram_abs(RCX, size, false, true, off as i32);
                     }
                     Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
@@ -1585,8 +1652,8 @@ mod native {
                             Op::Bltu => CC_B,
                             _ => CC_AE,
                         };
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
-                        a.alu_r32_mem(0x3b, RAX, RBX, g(rs2));
+                        a.gpr_read(masked, RAX, rs1);
+                        a.alu_gpr(masked, 0x3b, RAX, rs2);
                         let t = taken_label(
                             &mut a,
                             &mut takens,
@@ -1615,17 +1682,23 @@ mod native {
                             Op::SltiuBrz => (CC_B, true, false),
                             _ => (CC_B, true, true),
                         };
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        a.gpr_read(masked, RAX, rs1);
                         if imm_form {
                             a.alu_ri32(7, RAX, u.imm2);
                         } else {
-                            a.alu_r32_mem(0x3b, RAX, RBX, g(rs2));
+                            a.alu_gpr(masked, 0x3b, RAX, rs2);
                         }
                         a.setcc_zx32(cc, RAX);
                         if rd != 0 {
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
-                        a.test_rr32(RAX, RAX);
+                        if masked {
+                            // `beq`/`bne rd, x0` re-reads both operands.
+                            a.gpr_read(true, RAX, rd);
+                            a.alu_gpr(true, 0x3b, RAX, 0);
+                        } else {
+                            a.test_rr32(RAX, RAX);
+                        }
                         let t = taken_label(
                             &mut a,
                             &mut takens,
@@ -1637,14 +1710,18 @@ mod native {
                         a.jcc(if take_if_set { CC_NE } else { CC_E }, t);
                     }
                     Op::AddBeq | Op::AddBne => {
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        a.gpr_read(masked, RAX, rs1);
                         if u.imm2 != 0 {
                             a.alu_ri32(0, RAX, u.imm2);
                         }
                         if rd != 0 {
                             a.mov_mem_r32(RBX, g(rd), RAX);
                         }
-                        a.alu_r32_mem(0x3b, RAX, RBX, g(rs2));
+                        if masked {
+                            // The branch re-reads the `addi` result.
+                            a.gpr_read(true, RAX, rd);
+                        }
+                        a.alu_gpr(masked, 0x3b, RAX, rs2);
                         let t = taken_label(
                             &mut a,
                             &mut takens,
@@ -1670,7 +1747,7 @@ mod native {
                         );
                     }
                     Op::Jalr => {
-                        a.mov_r32_mem(RAX, RBX, g(rs1));
+                        a.gpr_read(masked, RAX, rs1);
                         if u.imm != 0 {
                             a.alu_ri32(0, RAX, u.imm);
                         }
@@ -1742,12 +1819,16 @@ mod native {
             a.jmp_abs(epilogue);
 
             let code = a.finalize();
+            if entry + code.len() > ARENA_CAP {
+                return Compiled::Ineligible;
+            }
             let arena = self.arena.as_mut().expect("arena ensured above");
             arena.set_exec(false);
             arena.write(entry, &code);
             self.cursor = entry + code.len();
+            let key = (pc, masked);
             self.blocks.insert(
-                pc,
+                key,
                 NativeBlock {
                     entry,
                     hash,
@@ -1760,6 +1841,7 @@ mod native {
             // Every applied site is remembered per target so dropping a
             // retained block after a restore can sever it again.
             for (site, target) in sites {
+                let target = (target, masked);
                 if let Some(b) = self.blocks.get(&target) {
                     arena.patch32(site, (b.entry as i64 - (site as i64 + 4)) as i32);
                     self.applied.entry(target).or_default().push(site);
@@ -1767,10 +1849,10 @@ mod native {
                     self.pending.entry(target).or_default().push(site);
                 }
             }
-            if let Some(waiters) = self.pending.remove(&pc) {
+            if let Some(waiters) = self.pending.remove(&key) {
                 for site in waiters {
                     arena.patch32(site, (entry as i64 - (site as i64 + 4)) as i32);
-                    self.applied.entry(pc).or_default().push(site);
+                    self.applied.entry(key).or_default().push(site);
                 }
             }
             arena.set_exec(true);
@@ -1780,6 +1862,11 @@ mod native {
 
     const CC_BE: u8 = 0x6; // unsigned <=
 
+    /// Displacement of guest register `r`'s slot off `rbx`.
+    fn g(r: u8) -> i8 {
+        (r as i8) * 4
+    }
+
     impl Asm {
         /// `mov r32, r32`.
         fn mov_rr32(&mut self, dst: u8, src: u8) {
@@ -1787,6 +1874,84 @@ mod native {
             self.byte(0x89);
             self.modrm(3, src, dst);
         }
+
+        /// 32-bit ALU `op dst, src` with the `alu_r32_mem` opcodes.
+        fn alu_rr32(&mut self, opc: u8, dst: u8, src: u8) {
+            self.rex(false, dst, src);
+            self.byte(opc);
+            self.modrm(3, dst, src);
+        }
+
+        /// `movsxd r64, r32`.
+        fn movsxd_rr(&mut self, dst: u8, src: u8) {
+            self.rex(true, dst, src);
+            self.byte(0x63);
+            self.modrm(3, dst, src);
+        }
+
+        /// `or` then `and` guest register `r`'s stuck-at masks into
+        /// `dst`: the read-side rule of `Cpu::gpr`. `rbp` points 128
+        /// bytes into the mask table, so the stuck-one word sits at
+        /// `4r - 128` and the keep word at `4r`.
+        fn apply_masks(&mut self, dst: u8, r: u8) {
+            self.alu_r32_mem(0x0b, dst, RBP, g(r) + i8::MIN);
+            self.alu_r32_mem(0x23, dst, RBP, g(r));
+        }
+
+        /// `dst = x[r]`: the raw slot, filtered through the stuck-at
+        /// masks in the masked variant. Every guest-register read of a
+        /// template goes through here or the two helpers below.
+        fn gpr_read(&mut self, masked: bool, dst: u8, r: u8) {
+            self.mov_r32_mem(dst, RBX, g(r));
+            if masked {
+                self.apply_masks(dst, r);
+            }
+        }
+
+        /// `op dst, x[r]`; the masked variant reads `x[r]` into `rdx`
+        /// first, so `dst` must not be `rdx`.
+        fn alu_gpr(&mut self, masked: bool, opc: u8, dst: u8, r: u8) {
+            if masked {
+                self.gpr_read(true, RDX, r);
+                self.alu_rr32(opc, dst, RDX);
+            } else {
+                self.alu_r32_mem(opc, dst, RBX, g(r));
+            }
+        }
+
+        /// `movsxd dst, x[r]`.
+        fn movsxd_gpr(&mut self, masked: bool, dst: u8, r: u8) {
+            if masked {
+                self.gpr_read(true, dst, r);
+                self.movsxd_rr(dst, dst);
+            } else {
+                self.movsxd_mem(dst, RBX, g(r));
+            }
+        }
+    }
+
+    /// Masked variant of a fused `auipc` access: the access half reads
+    /// the base register through its masks, so the static address
+    /// holds only if the masks leave the `auipc` value (`imm2`) intact.
+    /// Otherwise bail before any effect; the micro-op engine replays
+    /// the pair per instruction. (An `x0` base discards the `auipc`
+    /// write, so its re-read starts from 0.)
+    #[allow(clippy::too_many_arguments)]
+    fn abs_mask_check(
+        a: &mut Asm,
+        bails: &mut Vec<BailStub>,
+        u: &MicroOp,
+        k: u32,
+        cyc: u64,
+        n: u64,
+        fused: u64,
+    ) {
+        let rs1 = u.rs1.index();
+        let bail = bail_label(a, bails, k, cyc, n, fused, BAIL_MASK);
+        a.mov_ri32(RAX, if rs1 != 0 { u.imm2 } else { 0 });
+        a.apply_masks(RAX, rs1);
+        a.alu_ri32(7, RAX, u.imm2);
+        a.jcc(CC_NE, bail);
     }
 
     struct TakenStub {
@@ -2022,7 +2187,7 @@ mod native {
             for r in 0..rounds {
                 for b in 0..15u32 {
                     let pc = 0x8000_0000 + b * 0x40;
-                    match e.compile(pc, &uops, pc + 0x10, 0x8000_0000, 0x100000, 1) {
+                    match e.compile(pc, false, &uops, pc + 0x10, 0x8000_0000, 0x100000, 1) {
                         Compiled::Entry(_) => {}
                         Compiled::Ineligible => panic!("round {r}: ineligible"),
                     }
@@ -2039,6 +2204,7 @@ mod native {
             let mut e = JitEngine::new().unwrap();
             assert!(e.ensure_arena());
             let mut gprs = [0u32; 32];
+            let masks = [0u32; 64];
             let mut ram = [0u8; 64];
             let mut dirty = [0u64; 1];
             let entry = e.epilogue;
@@ -2048,6 +2214,7 @@ mod native {
                 e.run(
                     entry,
                     gprs.as_mut_ptr(),
+                    masks.as_ptr(),
                     ram.as_mut_ptr(),
                     dirty.as_mut_ptr(),
                     42,
@@ -2097,26 +2264,71 @@ mod native {
                 (ram_base + 0x1000, 13),
             ] {
                 assert!(matches!(
-                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, hash),
+                    e.compile(pc, false, &uops, pc + 4, ram_base, 0x10000, hash),
                     Compiled::Entry(_)
                 ));
             }
-            assert_eq!(e.retained(ram_base).map(|(_, h, _)| h), Some(11));
+            assert_eq!(e.retained(ram_base, false).map(|(_, h, _)| h), Some(11));
             // Restore copied page 0 only: the stale page-0 block drops,
             // the byte-identical page-0 block and the untouched page-1
             // block survive and report the surviving range.
             let restored = [1u64];
             let range = e.retain_across_restore(&restored, ram_base, &ram);
             assert_eq!(range, Some((ram_base + 0x40, ram_base + 0x1004)));
-            assert!(e.retained(ram_base).is_none());
-            assert_eq!(e.retained(ram_base + 0x40).map(|(_, h, _)| h), Some(intact));
-            assert_eq!(e.retained(ram_base + 0x1000).map(|(_, h, _)| h), Some(13));
+            assert!(e.retained(ram_base, false).is_none());
+            assert_eq!(
+                e.retained(ram_base + 0x40, false).map(|(_, h, _)| h),
+                Some(intact)
+            );
+            assert_eq!(
+                e.retained(ram_base + 0x1000, false).map(|(_, h, _)| h),
+                Some(13)
+            );
             // Dropping the survivors too leaves nothing retained.
-            e.drop_retained(ram_base + 0x40);
-            e.drop_retained(ram_base + 0x1000);
-            assert!(e.retained(ram_base + 0x1000).is_none());
+            e.drop_retained(ram_base + 0x40, false);
+            e.drop_retained(ram_base + 0x1000, false);
+            assert!(e.retained(ram_base + 0x1000, false).is_none());
             let range = e.retain_across_restore(&[0u64], ram_base, &ram);
             assert_eq!(range, None);
+        }
+
+        #[test]
+        fn chains_never_cross_variants() {
+            use crate::uop::MicroOp;
+            use s4e_isa::Gpr;
+            let (a, b) = (0x8000_0000u32, 0x8000_0100u32);
+            let jal_to_b = vec![MicroOp {
+                op: Op::Jal,
+                rd: Gpr::ZERO,
+                rs1: Gpr::ZERO,
+                rs2: Gpr::ZERO,
+                imm: b as i32,
+                imm2: 0,
+                idx: 0,
+                pc: a,
+                next_pc: a + 4,
+                cost: 1,
+                cost2: 0,
+                n: 1,
+            }];
+            let mut e = JitEngine::new().unwrap();
+            let compile = |e: &mut JitEngine, pc: u32, masked: bool| {
+                assert!(matches!(
+                    e.compile(pc, masked, &jal_to_b, pc + 4, a, 0x10000, 1),
+                    Compiled::Entry(_)
+                ));
+            };
+            // A masked block's exit to `b` waits for the masked `b`: a
+            // plain `b` (which chains only its own self-jump) leaves it
+            // pending, the masked one patches it.
+            compile(&mut e, a, true);
+            compile(&mut e, b, false);
+            assert_eq!(e.applied.get(&(b, false)).map(Vec::len), Some(1));
+            assert_eq!(e.pending.get(&(b, true)).map(Vec::len), Some(1));
+            compile(&mut e, b, true);
+            assert!(!e.pending.contains_key(&(b, true)));
+            assert_eq!(e.applied.get(&(b, true)).map(Vec::len), Some(2));
+            assert_eq!(e.applied.get(&(b, false)).map(Vec::len), Some(1));
         }
 
         #[test]
@@ -2143,7 +2355,7 @@ mod native {
             // Three adjacent 4-byte blocks on one page.
             for pc in [ram_base, ram_base + 4, ram_base + 8] {
                 assert!(matches!(
-                    e.compile(pc, &uops, pc + 4, ram_base, 0x10000, 7),
+                    e.compile(pc, false, &uops, pc + 4, ram_base, 0x10000, 7),
                     Compiled::Entry(_)
                 ));
             }
@@ -2151,15 +2363,15 @@ mod native {
             // block; its neighbours stay warm and report their range.
             let range = e.invalidate_span(ram_base + 6, 1);
             assert_eq!(range, Some((ram_base, ram_base + 12)));
-            assert!(e.retained(ram_base + 4).is_none());
-            assert!(e.retained(ram_base).is_some());
-            assert!(e.retained(ram_base + 8).is_some());
+            assert!(e.retained(ram_base + 4, false).is_none());
+            assert!(e.retained(ram_base, false).is_some());
+            assert!(e.retained(ram_base + 8, false).is_some());
             // A mutation outside every block drops nothing.
             let range = e.invalidate_span(ram_base + 0x100, 1);
             assert_eq!(range, Some((ram_base, ram_base + 12)));
             // Mutating the survivors too resets the engine outright.
             assert_eq!(e.invalidate_span(ram_base, 12), None);
-            assert!(e.retained(ram_base).is_none());
+            assert!(e.retained(ram_base, false).is_none());
         }
     }
 }

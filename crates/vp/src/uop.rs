@@ -33,7 +33,9 @@ use s4e_isa::{Extension, Gpr, Insn, InsnKind, IsaConfig};
 #[repr(u8)]
 pub(crate) enum Op {
     /// `rd = imm` — `lui`, `auipc` (pc folded at lowering time), and the
-    /// fused `lui+addi` / `auipc+addi` constant idioms.
+    /// fused `lui+addi` / `auipc+addi` constant idioms, whose first-half
+    /// value rides in `imm2` for the JIT's masked variant (the `addi`
+    /// re-reads it through the stuck-at masks).
     LoadConst,
     // ALU, immediate second operand (`imm`).
     Addi,
@@ -369,11 +371,13 @@ fn lower_fused(
             u.op = Op::LoadConst;
             u.rd = rd;
             u.imm = value as i32;
+            u.imm2 = first.imm();
         }
         FusionPattern::ConstAuipc { rd, offset } => {
             u.op = Op::LoadConst;
             u.rd = rd;
             u.imm = pc1.wrapping_add(offset) as i32;
+            u.imm2 = pc1.wrapping_add(first.imm() as u32) as i32;
         }
         FusionPattern::PcRelLoad {
             base,

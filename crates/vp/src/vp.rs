@@ -220,14 +220,16 @@ impl std::fmt::Debug for ChainLink {
     }
 }
 
-/// Per-block template-JIT promotion state.
+/// Per-block template-JIT promotion state, one [`JitState`] per variant:
+/// index 0 is the plain variant, index 1 the masked variant the
+/// dispatcher runs while register fault masks are armed.
 ///
 /// Interior-mutable for the same reason — and under the same safety
 /// argument — as [`ChainLink`]: every read and write goes through the
 /// uniquely-owning `Vp` (`&mut self`), which is `Send` but not `Sync`,
 /// so no two threads can race on the cell. The `unsafe impl`s only keep
 /// `Arc<Block>` (and thereby `Vp`) `Send`.
-struct JitSlot(UnsafeCell<JitState>);
+struct JitSlot(UnsafeCell<[JitState; 2]>);
 
 /// Where a block stands on the path to native code.
 #[derive(Debug, Clone, Copy)]
@@ -248,7 +250,7 @@ unsafe impl Sync for JitSlot {}
 
 impl Default for JitSlot {
     fn default() -> JitSlot {
-        JitSlot(UnsafeCell::new(JitState::Counting(0)))
+        JitSlot(UnsafeCell::new([JitState::Counting(0); 2]))
     }
 }
 
@@ -325,8 +327,8 @@ pub struct DispatchStats {
     /// JIT bail-outs: a compiled block hit a condition its templates do
     /// not cover and fell back to the micro-op engine before any
     /// architectural effect of the uncovered micro-op, or a native
-    /// dispatch was declined for armed fault masks / a failed
-    /// revalidation. Always the sum of the five `jit_bail_*` counters.
+    /// dispatch was declined for a failed revalidation. Always the sum
+    /// of the five `jit_bail_*` counters.
     pub jit_bailouts: u64,
     /// Bails through the memory slow path: MMIO, misaligned or RAM-edge
     /// access (including a misaligned `jalr` target).
@@ -338,9 +340,10 @@ pub struct DispatchStats {
     /// Bails on a store overlapping the translated code range
     /// (self-modifying code).
     pub jit_bail_smc: u64,
-    /// Native dispatches declined because a register fault mask was
-    /// armed — the interpreter applies masks on every register read, so
-    /// the whole dispatch runs interpreted.
+    /// Bails of the masked variant (run while register fault masks are
+    /// armed) at a fused `auipc` access whose base register's masks
+    /// change the `auipc` value; the micro-op engine replays the pair
+    /// per instruction.
     pub jit_bail_mask: u64,
     /// Retained native entries dropped because the code-bytes hash no
     /// longer matched at re-adoption after a snapshot restore.
@@ -1138,9 +1141,7 @@ impl Vp {
         // armed flight recorder no longer disqualifies native entry:
         // the templates write the block-entry ring inline, identically
         // to `FlightRecorder::record_block`. Armed register fault masks
-        // are a per-dispatch *bail* inside `jit_dispatch` (compiled code
-        // reads the GPR file raw), not a run-long gate, so campaigns
-        // interpret only while the injection masks are actually armed.
+        // select each block's masked variant inside `jit_dispatch`.
         let use_jit = self.jit.is_some() && use_uops && self.plugins.is_empty();
         // The block to dispatch next via a direct chain link, and the
         // (predecessor, slot) pair waiting for its successor to be
@@ -1211,14 +1212,13 @@ impl Vp {
             //
             // Try the native tier first. It declines (returning `None`)
             // while the block is cold or uncompilable, when a device
-            // event or block-exit request is pending, when fault masks
-            // are armed, or when the interpreter must poll `mip` before
-            // running anything — the micro-op engine is the
-            // unconditional fallback either way. Native blocks write
-            // the flight ring from their own prologues, so the recorder
-            // (and plugin block hooks, which gate the JIT off entirely)
-            // fire here only on the interpreted path — exactly once per
-            // block entry either way.
+            // event or block-exit request is pending, or when the
+            // interpreter must poll `mip` before running anything — the
+            // micro-op engine is the unconditional fallback either way.
+            // Native blocks write the flight ring from their own
+            // prologues, so the recorder (and plugin block hooks, which
+            // gate the JIT off entirely) fire here only on the
+            // interpreted path — exactly once per block entry either way.
             let native = if use_jit && !self.block_exit_pending && self.bus.peek_event().is_none() {
                 self.jit_dispatch(block, &mut remaining)
             } else {
@@ -1276,13 +1276,15 @@ impl Vp {
 
     /// Tries to execute `block` natively through the template JIT.
     ///
+    /// The variant follows [`Cpu::faults_enabled`]: the plain one reads
+    /// guest registers raw, the masked one through the stuck-at masks.
+    /// Each variant is promoted, retained and re-adopted on its own.
     /// Returns `None` — the caller falls back to the micro-op engine —
-    /// while the block is cold, when it has no native translation
-    /// (ineligible micro-ops or a full arena), when the budget is
-    /// already spent, when register fault masks are armed (a counted
-    /// per-dispatch bail), or when the interpreter is due to poll `mip`
-    /// before running anything. Otherwise runs native code (following
-    /// direct native chains) until a block boundary at the `mip`
+    /// while the block's variant is cold, when it has no native
+    /// translation (ineligible micro-ops or a full arena), when the
+    /// budget is already spent, or when the interpreter is due to poll
+    /// `mip` before running anything. Otherwise runs native code
+    /// (following direct native chains) until a block boundary at the `mip`
     /// deadline, budget exhaustion, or a template bail-out, then folds
     /// the accumulated cycle/instret deltas into the CPU. A bail-out
     /// resumes the bailing block mid-way through the micro-op engine
@@ -1291,19 +1293,13 @@ impl Vp {
         if *remaining == 0 {
             return None;
         }
-        // Armed register fault masks filter every GPR read through the
-        // stuck-at bits; compiled code reads the file raw. Bail per
-        // dispatch (counted, so campaigns can see the cost) rather than
-        // gating the whole run — a campaign mutant interprets only for
-        // the blocks where its injection masks are actually armed.
-        if self.cpu.faults_enabled() {
-            self.stats.jit_bail_mask += 1;
-            self.stats.jit_bailouts += 1;
-            return None;
-        }
+        // Masks cannot change during a native run (planting needs
+        // `&mut Cpu`), and chains never cross variants, so the variant
+        // chosen here holds for the whole run.
+        let masked = self.cpu.faults_enabled();
         // SAFETY: dispatch-boundary argument as in `exec_block_uops`;
         // slot access follows the `JitSlot` exclusive-`Vp` rule.
-        let state = unsafe { &mut *(*block).jit.0.get() };
+        let state = unsafe { &mut (*(*block).jit.0.get())[usize::from(masked)] };
         let entry = match *state {
             JitState::Ineligible => return None,
             JitState::Compiled(entry) => entry,
@@ -1324,14 +1320,17 @@ impl Vp {
                     .jit
                     .as_ref()
                     .expect("jit_dispatch requires an engine")
-                    .retained(pc);
+                    .retained(pc, masked);
                 let adopted = retained.and_then(|(entry, hash, len)| {
                     if self.bus.dump(pc, len as usize).map(fnv1a).ok() == Some(hash) {
                         self.stats.jit_retained += 1;
                         self.stats.jit_revalidations += 1;
                         Some(entry)
                     } else {
-                        self.jit.as_mut().expect("probed above").drop_retained(pc);
+                        self.jit
+                            .as_mut()
+                            .expect("probed above")
+                            .drop_retained(pc, masked);
                         self.stats.jit_bail_reval_miss += 1;
                         self.stats.jit_bailouts += 1;
                         None
@@ -1354,6 +1353,7 @@ impl Vp {
                     let jit = self.jit.as_mut().expect("jit_dispatch requires an engine");
                     match jit.compile(
                         pc,
+                        masked,
                         &body.uops,
                         body.fall_pc,
                         self.bus.ram_base(),
@@ -1387,6 +1387,7 @@ impl Vp {
         let code_lo = self.code_lo;
         let code_hi = self.code_hi;
         let gprs = self.cpu.gprs_ptr();
+        let masks = self.cpu.gpr_masks_ptr();
         let ram = self.bus.ram_ptr();
         let dirty = self.bus.dirty_ptr();
         // The native block-entry ring write stamps `bias - budget`,
@@ -1404,12 +1405,14 @@ impl Vp {
         // whenever the engine resets) and retained entries are hash-
         // revalidated at adoption. The GPR/RAM/dirty pointers and the
         // flight ring are exclusively ours through `&mut self` for the
-        // duration of the call; fault masks bailed above and plugins
-        // are gated off by `use_jit`.
+        // duration of the call, the mask table is the same CPU's; a
+        // plain entry runs only with masks disarmed (`masked` above)
+        // and plugins are gated off by `use_jit`.
         let res = unsafe {
             jit.run(
                 entry,
                 gprs,
+                masks,
                 ram,
                 dirty,
                 *remaining,
@@ -1436,6 +1439,7 @@ impl Vp {
                     jit::BAIL_MEM => self.stats.jit_bail_mem += 1,
                     jit::BAIL_BUDGET => self.stats.jit_bail_budget += 1,
                     jit::BAIL_SMC => self.stats.jit_bail_smc += 1,
+                    jit::BAIL_MASK => self.stats.jit_bail_mask += 1,
                     _ => {}
                 }
                 // The bailing block can be any block reached through

@@ -9,7 +9,7 @@
 
 use s4e_asm::assemble;
 use s4e_isa::{Gpr, IsaConfig};
-use s4e_vp::{RunOutcome, Vp};
+use s4e_vp::{DispatchStats, RunOutcome, Vp};
 
 /// Threshold 1: every block is compiled on its first execution, so the
 /// edge under test is guaranteed to involve native code.
@@ -34,6 +34,10 @@ fn load_src(vp: &mut Vp, src: &str) {
 /// ride along in `Cpu`'s Debug output.
 fn cpu_state(vp: &Vp) -> String {
     format!("{:?}", vp.cpu())
+}
+
+fn x(index: u8) -> Gpr {
+    Gpr::new(index).unwrap()
 }
 
 fn gpr(vp: &Vp, name: u8) -> u32 {
@@ -257,4 +261,223 @@ fn jit_is_a_pure_performance_feature_on_stats() {
     assert_eq!(stats.jit_blocks, 0, "{stats:?}");
     assert_eq!(stats.jit_exec, 0, "{stats:?}");
     assert_eq!(stats.jit_bailouts, 0, "{stats:?}");
+}
+
+/// Runs `src` from reset with stuck-at `faults` planted on a JIT VP
+/// (every block compiled, so the masked variant runs) and on a JIT-off
+/// VP, asserts both reach `ebreak` in the identical state, and returns
+/// the JIT VP's counters.
+fn stuck_differential(src: &str, faults: &[(Gpr, u8, bool)]) -> (Vp, DispatchStats) {
+    let [mut jit, nojit] = [jit_vp(), nojit_vp()].map(|mut vp| {
+        load_src(&mut vp, src);
+        for &(reg, bit, value) in faults {
+            vp.cpu_mut().plant_gpr_fault(reg, bit, value);
+        }
+        assert_eq!(vp.run_for(1_000_000), RunOutcome::Break, "{faults:?}");
+        vp
+    });
+    assert_eq!(cpu_state(&jit), cpu_state(&nojit), "{faults:?}");
+    let stats = jit.take_dispatch_stats();
+    (jit, stats)
+}
+
+/// The fused op ran natively in the masked variant: the micro-op engine
+/// replays fused pairs per instruction while masks are armed, so only
+/// native code counts them.
+fn assert_fused_native(stats: &DispatchStats) {
+    assert!(stats.jit_exec > 0, "{stats:?}");
+    assert!(
+        stats.fused_exec > 0,
+        "fused op must run natively: {stats:?}"
+    );
+    assert_eq!(stats.jit_bail_mask, 0, "{stats:?}");
+}
+
+#[test]
+fn masked_add_bne_rereads_its_counter() {
+    // `addi t0, t0, -1; bnez t0` fuses to AddBne. With t0's bit 0 stuck
+    // at 0 the branch sees only even values: the loop exits after 32
+    // iterations, when the raw 1 reads as 0.
+    let src = r#"
+        li t0, 64
+        li a0, 0
+    loop:
+        addi a0, a0, 1
+        addi t0, t0, -1
+        bnez t0, loop
+        ebreak
+    "#;
+    let (jit, stats) = stuck_differential(src, &[(x(5), 0, false)]);
+    assert_eq!(gpr(&jit, 10), 32);
+    assert_fused_native(&stats);
+}
+
+#[test]
+fn masked_add_beq_rereads_its_result() {
+    // AddBeq on t0 with bit 0 stuck at 1: the raw values stay even, the
+    // compare sees them odd, so the exit comes at raw 40 (read as 41).
+    let src = r#"
+        li t0, 0
+        li t2, 41
+    loop:
+        addi t0, t0, 1
+        beq t0, t2, done
+        j loop
+    done:
+        ebreak
+    "#;
+    let (jit, stats) = stuck_differential(src, &[(x(5), 0, true)]);
+    assert_eq!(jit.cpu().gpr(x(5)), 41);
+    assert_fused_native(&stats);
+}
+
+#[test]
+fn masked_shift_pair_rereads_its_intermediate() {
+    // `slli a1, a0, 16; srli a1, a1, 16` with a1's bit 31 stuck at 1:
+    // the `srli` half shifts the forced bit down to bit 15.
+    let src = r#"
+        li t0, 50
+        li a0, 0x12345
+        li a2, 0
+    loop:
+        slli a1, a0, 16
+        srli a1, a1, 16
+        add a2, a2, a1
+        addi a0, a0, 7
+        addi t0, t0, -1
+        bnez t0, loop
+        ebreak
+    "#;
+    let (_, stats) = stuck_differential(src, &[(Gpr::A1, 31, true)]);
+    assert_fused_native(&stats);
+}
+
+#[test]
+fn masked_load_const_rereads_its_upper_half() {
+    // `li a1, 0x12345678` is `lui` + `addi`, `la a3, data` is `auipc` +
+    // `addi`. A stuck-at-1 on bit 9 lands on the upper half before the
+    // `addi` carries into it.
+    let src = r#"
+        li t0, 20
+        li a2, 0
+    loop:
+        li a1, 0x12345678
+        add a2, a2, a1
+        la a3, data
+        add a2, a2, a3
+        addi t0, t0, -1
+        bnez t0, loop
+        ebreak
+    data:
+        .word 0
+    "#;
+    for reg in [Gpr::A1, x(13)] {
+        let (_, stats) = stuck_differential(src, &[(reg, 9, true)]);
+        assert_fused_native(&stats);
+    }
+}
+
+#[test]
+fn masked_compare_branch_rereads_rd_and_x0() {
+    // `slt t1, a0, a1; beqz t1` fuses to SltBrz; the branch compares t1
+    // against x0, so a fault on either changes the path.
+    let src = r#"
+        li t0, 30
+        li a0, 0
+        li a1, 100
+        li a2, 0
+    loop:
+        addi a2, a2, 1
+        slt t1, a0, a1
+        beqz t1, skip
+        addi a0, a0, 5
+    skip:
+        addi t0, t0, -1
+        bnez t0, loop
+        ebreak
+    "#;
+    for fault in [(x(6), 0, false), (Gpr::ZERO, 0, true), (Gpr::A1, 6, false)] {
+        let (_, stats) = stuck_differential(src, &[fault]);
+        assert_fused_native(&stats);
+    }
+}
+
+#[test]
+fn masked_pc_relative_access_bails_only_when_its_base_moves() {
+    // `auipc a1, 0; lw a1, off(a1)` fuses to AbsLw: the fused op loads
+    // a static address, which the masked variant keeps only while the
+    // base register's masks leave the `auipc` value intact.
+    let src = r#"
+        li t0, 40
+        li a2, 0
+    loop:
+        auipc a1, 0
+        lw a1, data - loop(a1)
+        add a2, a2, a1
+        addi t0, t0, -1
+        bnez t0, loop
+        ebreak
+    data:
+        .word 7
+    "#;
+    // The `auipc` value is `loop` = RAM base + 8: bit 3 is already set,
+    // so a stuck-at-1 there only changes the loaded value's reads.
+    let (_, stats) = stuck_differential(src, &[(Gpr::A1, 3, true)]);
+    assert_fused_native(&stats);
+    // Bit 2 is clear: a stuck-at-1 moves the access, so the fused op
+    // bails to the per-instruction replay on every iteration.
+    let (_, stats) = stuck_differential(src, &[(Gpr::A1, 2, true)]);
+    assert_eq!(stats.jit_bail_mask, 40, "{stats:?}");
+    assert_eq!(stats.jit_bailouts, 40, "{stats:?}");
+}
+
+#[test]
+fn clear_faults_mid_life_runs_plain_code() {
+    // Run the hot loop part-way with a mask armed (compiling masked
+    // blocks), clear the masks and finish: the rest runs through freshly
+    // compiled plain entries, never a retained masked one, and matches
+    // the JIT-off engine.
+    let states = [jit_vp(), nojit_vp()].map(|mut vp| {
+        load_src(&mut vp, HOT_LOOP);
+        vp.cpu_mut().plant_gpr_fault(Gpr::A1, 4, true);
+        assert_eq!(vp.run_for(300), RunOutcome::InsnLimit);
+        let masked = vp.take_dispatch_stats();
+        vp.cpu_mut().clear_faults();
+        assert_eq!(vp.run(), RunOutcome::Break);
+        (cpu_state(&vp), masked, vp.take_dispatch_stats())
+    });
+    let [(jit_state, masked, plain), (nojit_state, _, _)] = states;
+    assert_eq!(jit_state, nojit_state);
+    assert!(masked.jit_blocks > 0 && masked.jit_exec > 0, "{masked:?}");
+    assert!(plain.jit_blocks > 0, "plain code must compile: {plain:?}");
+    assert_eq!(plain.jit_retained, 0, "{plain:?}");
+    assert!(plain.jit_exec > 400, "{plain:?}");
+}
+
+#[test]
+fn masked_blocks_survive_restore_under_different_masks() {
+    // One masked compile serves every stuck-at mutant: after a restore,
+    // a different mask re-adopts the retained masked blocks (masks are
+    // read at run time) without recompiling, and stays exact.
+    let states = [jit_vp(), nojit_vp()].map(|mut vp| {
+        load_src(&mut vp, HOT_LOOP);
+        let snap = vp.snapshot();
+        vp.cpu_mut().plant_gpr_fault(Gpr::A1, 5, true);
+        assert_eq!(vp.run(), RunOutcome::Break);
+        let first = (cpu_state(&vp), vp.take_dispatch_stats());
+        vp.restore(&snap);
+        vp.cpu_mut().plant_gpr_fault(Gpr::A0, 1, false);
+        assert_eq!(vp.run(), RunOutcome::Break);
+        (first, cpu_state(&vp), vp.take_dispatch_stats())
+    });
+    let [(jit_first, jit_state, stats), (nojit_first, nojit_state, _)] = states;
+    assert_eq!(jit_first.0, nojit_first.0);
+    assert_eq!(jit_state, nojit_state);
+    assert!(jit_first.1.jit_blocks > 0, "{:?}", jit_first.1);
+    assert_eq!(
+        stats.jit_blocks, 0,
+        "must re-adopt, not recompile: {stats:?}"
+    );
+    assert!(stats.jit_retained > 0, "{stats:?}");
+    assert!(stats.jit_exec > 400, "{stats:?}");
 }

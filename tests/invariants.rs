@@ -2,6 +2,7 @@
 //! torture programs.
 
 use proptest::prelude::*;
+use s4e_vp::{FlightEvent, FlightRecorder};
 use scale4edge::prelude::*;
 
 fn run_to_break(image: &Image, isa: IsaConfig, cache: bool) -> Vp {
@@ -10,6 +11,46 @@ fn run_to_break(image: &Image, isa: IsaConfig, cache: bool) -> Vp {
     let outcome = vp.run_for(10_000_000);
     assert_eq!(outcome, RunOutcome::Break);
     vp
+}
+
+/// What the stuck-at differential compares after one faulted run.
+#[derive(Debug, PartialEq)]
+struct StuckRun {
+    outcome: RunOutcome,
+    pc: u32,
+    cycles: u64,
+    instret: u64,
+    gprs: Vec<u32>,
+    fprs: Vec<u32>,
+    ram: Vec<u8>,
+    flight: Vec<(FlightEvent, Option<&'static str>)>,
+}
+
+/// Plants `masks` (register, bit, stuck value) on a freshly restored
+/// VP, runs it to a budget that bounds faulted programs which never
+/// reach their `ebreak`, and records the observable state.
+fn stuck_run(vp: &mut Vp, masks: &[(u8, u8, bool)], ram_base: u32) -> StuckRun {
+    vp.flight_recorder_mut().expect("armed").clear();
+    for &(reg, bit, value) in masks {
+        vp.cpu_mut()
+            .plant_gpr_fault(Gpr::new(reg).expect("index"), bit, value);
+    }
+    let outcome = vp.run_for(50_000);
+    let cpu = vp.cpu();
+    StuckRun {
+        outcome,
+        pc: cpu.pc(),
+        cycles: cpu.cycles(),
+        instret: cpu.instret(),
+        gprs: (0..32u8)
+            .map(|i| cpu.gpr(Gpr::new(i).expect("index")))
+            .collect(),
+        fprs: (0..32u8)
+            .map(|i| cpu.fpr(s4e_isa::Fpr::new(i).expect("index")))
+            .collect(),
+        ram: vp.bus().dump(ram_base, 4096).expect("ram").to_vec(),
+        flight: vp.flight_recorder().expect("armed").tail(),
+    }
 }
 
 proptest! {
@@ -213,5 +254,70 @@ proptest! {
         // All 32 GPRs: initialization writes + signature reads + x0/sp use.
         prop_assert!(report.gpr_coverage().is_full(),
             "uncovered: {:?}", report.uncovered_gprs());
+    }
+}
+
+proptest! {
+    // Short loop-free programs: cheap enough for a wider sweep of
+    // register, bit and polarity combinations.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Stuck-at faults run natively through the template JIT's masked
+    /// variant without an architectural trace: random masks (any GPR
+    /// including `x0`, any bit, either polarity, sometimes on two
+    /// registers) planted at reset, and again with flipped polarity
+    /// after restoring a mid-run snapshot (so the JIT re-adopts its
+    /// retained masked blocks under different masks), leave the
+    /// per-instruction oracle, the production engine with the JIT off
+    /// and the production engine with every block compiled in exactly
+    /// the same state — pc, counters, registers, RAM and flight tail.
+    #[test]
+    fn stuck_at_masks_match_the_oracle_with_the_jit_on(
+        seed in any::<u64>(),
+        mem_heavy in any::<bool>(),
+        reg in 0u8..32,
+        bit in 0u8..32,
+        value in any::<bool>(),
+        two in any::<bool>(),
+        reg2 in 0u8..32,
+        bit2 in 0u8..32,
+        value2 in any::<bool>(),
+        split in 1u64..300,
+    ) {
+        let isa = IsaConfig::rv32imfc();
+        let cfg = TortureConfig::new(seed).insns(120).isa(isa).mem_heavy(mem_heavy);
+        let image = assemble(&torture_program(&cfg).source).expect("generated programs assemble");
+        let mut masks = vec![(reg, bit, value)];
+        if two {
+            masks.push((reg2, bit2, value2));
+        }
+        let flipped: Vec<_> = masks.iter().map(|&(r, b, v)| (r, b, !v)).collect();
+        let engines = [
+            Vp::builder().isa(isa).block_cache(false),
+            Vp::builder().isa(isa).jit(false),
+            Vp::builder().isa(isa).jit_threshold(1),
+        ];
+        let runs: Vec<_> = engines
+            .into_iter()
+            .map(|builder| {
+                let mut vp = builder.build();
+                boot(&mut vp, &image).expect("boots");
+                vp.set_flight_recorder(Some(FlightRecorder::new(64)));
+                let reset = vp.snapshot();
+                vp.run_for(split);
+                let mid = vp.snapshot();
+                vp.restore(&reset);
+                let at_reset = stuck_run(&mut vp, &masks, image.base());
+                vp.restore(&mid);
+                let after_restore = stuck_run(&mut vp, &flipped, image.base());
+                (at_reset, after_restore, vp.dispatch_stats())
+            })
+            .collect();
+        for other in &runs[1..] {
+            prop_assert_eq!(&runs[0].0, &other.0);
+            prop_assert_eq!(&runs[0].1, &other.1);
+        }
+        // The JIT engine really ran stuck-at code natively.
+        prop_assert!(runs[2].2.jit_exec > 0, "{:?}", runs[2].2);
     }
 }
