@@ -316,6 +316,10 @@ struct Running {
     trace_start: Option<u64>,
 }
 
+/// Re-runs one quarantined mutant in-process and adds what it observed
+/// to the incident bundle (see [`ShardSupervisor::set_forensic_replay`]).
+type ForensicReplay<'a> = Box<dyn Fn(&FaultSpec, &mut IncidentBundle) + 'a>;
+
 /// The process-isolation layer for fault campaigns: splits the mutant
 /// space into shards, runs each as a supervised child process, and
 /// merges streamed results. See the [module docs](self) for the full
@@ -327,7 +331,7 @@ pub struct ShardSupervisor<'a> {
     interrupt: Option<&'a AtomicBool>,
     tracer: Option<Arc<Tracer>>,
     trace_dir: Option<PathBuf>,
-    forensic_replay: Option<Box<dyn Fn(&FaultSpec, &mut IncidentBundle) + 'a>>,
+    forensic_replay: Option<ForensicReplay<'a>>,
 }
 
 impl std::fmt::Debug for ShardSupervisor<'_> {
@@ -384,10 +388,7 @@ impl<'a> ShardSupervisor<'a> {
     /// to be written — typically it re-runs the mutant on an in-process
     /// [`Campaign`] with forensics armed and attaches the VP, giving
     /// the bundle a flight tail and final architectural state.
-    pub fn set_forensic_replay(
-        &mut self,
-        replay: impl Fn(&FaultSpec, &mut IncidentBundle) + 'a,
-    ) {
+    pub fn set_forensic_replay(&mut self, replay: impl Fn(&FaultSpec, &mut IncidentBundle) + 'a) {
         self.forensic_replay = Some(Box::new(replay));
     }
 

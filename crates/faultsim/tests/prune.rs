@@ -413,23 +413,38 @@ fn pruning_composes_with_legacy_dispatch() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Pruned and executed classifications agree on generated torture
-    /// programs with generated mutant lists — the acceptance property
-    /// behind `--no-prune` as an A/B switch.
+    /// Every point of the campaign configuration lattice — {`prune`,
+    /// `fast_forward`, `jit`} on/off × threads {1, 2} — classifies
+    /// generated mutants of generated torture programs exactly like the
+    /// all-off, single-thread baseline (every mutant re-run from reset
+    /// on the micro-op engine), spec for spec. This is the acceptance
+    /// property behind each of `--no-prune`, fast-forward and `--no-jit`
+    /// as an A/B switch, and behind their composition. Sharded runs are
+    /// covered by the CLI and chaos suites.
     #[test]
     fn pruned_matches_executed_on_torture_programs(seed in 0u64..1024) {
-        let program = torture_program(
-            &TortureConfig::new(seed).insns(40).isa(IsaConfig::rv32imfc()),
-        );
-        let cfg = CampaignConfig::new().isa(IsaConfig::rv32imfc()).threads(2);
-        let pruned = campaign(&program.source, &cfg);
-        let executed = campaign(&program.source, &cfg.clone().prune(false));
+        let isa = IsaConfig::rv32imfc();
+        let program = torture_program(&TortureConfig::new(seed).insns(40).isa(isa));
+        let config = |prune: bool, fast_forward: bool, jit: bool, threads: usize| {
+            CampaignConfig::new()
+                .isa(isa)
+                .prune(prune)
+                .fast_forward(fast_forward)
+                .jit(jit)
+                .threads(threads)
+        };
+        let baseline = campaign(&program.source, &config(false, false, false, 1));
         let specs = generate_mutants(
-            pruned.golden().trace(),
+            baseline.golden().trace(),
             &GeneratorConfig::new(seed ^ 0x5eed),
         );
-        let a = pruned.run_all(&specs);
-        let b = executed.run_all(&specs);
-        prop_assert_eq!(a.results(), b.results());
+        let expected = baseline.run_all(&specs);
+        for bits in 1..16u8 {
+            let (prune, fast_forward, jit) = (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0);
+            let threads = if bits & 8 != 0 { 2 } else { 1 };
+            let cfg = config(prune, fast_forward, jit, threads);
+            let report = campaign(&program.source, &cfg).run_all(&specs);
+            prop_assert_eq!(report.results(), expected.results(), "{:?}", cfg);
+        }
     }
 }

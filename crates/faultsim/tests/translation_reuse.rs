@@ -144,21 +144,3 @@ fn code_mutating_faults_fall_back_to_fresh_translation() {
     // The sweep actually corrupted code: more than one outcome class.
     assert!(shared.counts().len() >= 2, "{:?}", shared.counts());
 }
-
-#[test]
-fn reference_dispatch_declines_the_seed() {
-    // With the reference interpreter forced, the worker VP has no block
-    // cache: `set_warm_translations` must decline the seed rather than
-    // dispatch through it, and the sweep still classifies identically
-    // to the lowered engine.
-    let reference = campaign(
-        WORK_PROGRAM,
-        &CampaignConfig::new().reference_dispatch(true),
-    );
-    let lowered = campaign(WORK_PROGRAM, &CampaignConfig::new());
-    let specs: Vec<FaultSpec> = smc_free_specs(&lowered).into_iter().step_by(13).collect();
-    assert_eq!(
-        reference.run_all(&specs).results(),
-        lowered.run_all(&specs).results()
-    );
-}

@@ -1075,9 +1075,7 @@ mod native {
                         return false;
                     }
                     let off = pc.wrapping_sub(ram_base) as usize;
-                    ram.get(off..off + b.len as usize)
-                        .map(crate::vp::fnv1a)
-                        != Some(b.hash)
+                    ram.get(off..off + b.len as usize).map(crate::vp::fnv1a) != Some(b.hash)
                 })
                 .map(|(key, _)| *key)
                 .collect();

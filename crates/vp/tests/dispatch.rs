@@ -1,10 +1,11 @@
 //! Dispatch-engine tests: direct-mapped jump-cache slot aliasing, direct
-//! block chaining, and link severing on invalidation (self-modifying
-//! code and snapshot restore).
+//! block chaining, link severing on invalidation (self-modifying code
+//! and snapshot restore), and warm translation seeding.
 
 use s4e_asm::assemble;
 use s4e_isa::{Gpr, IsaConfig};
 use s4e_vp::{Cpu, RunOutcome, Vp};
+use std::sync::Arc;
 
 fn load_src(vp: &mut Vp, src: &str) {
     let img = assemble(src).expect("assembles");
@@ -23,7 +24,7 @@ fn cpu_state(cpu: &Cpu) -> String {
 /// Two hot blocks exactly 4096 bytes apart: the 2048-slot direct-mapped
 /// jump cache indexes with `(pc >> 1) & 2047`, so `loop` (base + 0x8)
 /// and `far` (base + 0x1008) collide in the same slot. Each iteration
-/// ping-pongs between them.
+/// ping-pongs between them through `jal`, which chaining can follow.
 const ALIASED_PINGPONG: &str = r#"
     li t0, 300
     li a0, 0
@@ -40,51 +41,88 @@ far:
     jal x0, back
 "#;
 
+/// The same ping-pong reached only through `jalr`: an indirect jump has
+/// no static successor, so no chain link forms and every entry to
+/// `loop` (base + 0x20) and `far` (base + 0x1020) probes their shared
+/// jump-cache slot.
+const ALIASED_PINGPONG_INDIRECT: &str = r#"
+    li t0, 300
+    li a0, 0
+    la s1, far
+    la s2, back
+    la s3, loop
+loop:
+    addi a0, a0, 1
+    jalr x0, 0(s1)
+back:
+    addi t0, t0, -1
+    beqz t0, done
+    jalr x0, 0(s3)
+done:
+    ebreak
+    .org 0x80001020
+far:
+    addi a0, a0, 2
+    jalr x0, 0(s2)
+"#;
+
 #[test]
 fn aliased_jump_cache_slots_stay_correct() {
-    // Jump-cache-only tier: `loop` and `far` evict each other from the
-    // shared slot every iteration, so misses accumulate well past the
-    // translation count — correctness must not depend on slot residency.
-    let mut jc = Vp::builder()
-        .isa(IsaConfig::rv32imc())
-        .micro_ops(false)
-        .build();
-    load_src(&mut jc, ALIASED_PINGPONG);
-    assert_eq!(jc.run(), RunOutcome::Break);
-    assert_eq!(gpr(&jc, 10), 300 * 3);
-    let stats = jc.dispatch_stats();
+    // Production engine, JIT off: `loop` and `far` evict each other
+    // from the shared slot every iteration, so misses accumulate well
+    // past the translation count — correctness must not depend on slot
+    // residency.
+    let mut indirect = Vp::builder().isa(IsaConfig::rv32imc()).jit(false).build();
+    load_src(&mut indirect, ALIASED_PINGPONG_INDIRECT);
+    assert_eq!(indirect.run(), RunOutcome::Break);
+    assert_eq!(gpr(&indirect, 10), 300 * 3);
+    let stats = indirect.dispatch_stats();
     assert!(
         stats.jmp_cache_misses > 300,
         "aliasing blocks must keep missing the shared slot: {stats:?}"
     );
 
-    // Full micro-op engine (JIT pinned off so the *interpreter's*
-    // chaining is what's measured): chaining bypasses the contended
-    // slot (each block links its successor directly), and the result
-    // is identical.
-    let mut full = Vp::builder().isa(IsaConfig::rv32imc()).jit(false).build();
-    load_src(&mut full, ALIASED_PINGPONG);
-    assert_eq!(full.run(), RunOutcome::Break);
-    assert_eq!(cpu_state(full.cpu()), cpu_state(jc.cpu()));
-    let stats = full.dispatch_stats();
+    // The oracle and the JIT (hot blocks native, threshold 1) end in
+    // identical architectural state, cycles and instret included.
+    let mut oracle = Vp::builder()
+        .isa(IsaConfig::rv32imc())
+        .block_cache(false)
+        .build();
+    load_src(&mut oracle, ALIASED_PINGPONG_INDIRECT);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(oracle.cpu()), cpu_state(indirect.cpu()));
+    let mut jit = Vp::builder()
+        .isa(IsaConfig::rv32imc())
+        .jit_threshold(1)
+        .build();
+    load_src(&mut jit, ALIASED_PINGPONG_INDIRECT);
+    assert_eq!(jit.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(jit.cpu()), cpu_state(indirect.cpu()));
+    let stats = jit.dispatch_stats();
+    assert!(stats.jit_blocks > 0, "{stats:?}");
+    assert!(stats.jit_exec > 500, "{stats:?}");
+
+    // Through `jal`, chaining bypasses the contended slot (each block
+    // links its successor directly; JIT pinned off so the
+    // *interpreter's* chaining is what's measured), and the result
+    // matches the oracle.
+    let mut chained = Vp::builder().isa(IsaConfig::rv32imc()).jit(false).build();
+    load_src(&mut chained, ALIASED_PINGPONG);
+    assert_eq!(chained.run(), RunOutcome::Break);
+    assert_eq!(gpr(&chained, 10), 300 * 3);
+    let stats = chained.dispatch_stats();
     assert!(stats.chain_hits > 500, "{stats:?}");
     assert!(
         stats.jmp_cache_misses < 300,
         "chaining must absorb the aliasing traffic: {stats:?}"
     );
-
-    // JIT tier: hot blocks go native and chain inside the arena, again
-    // with identical architectural state (cycles and instret included).
-    let mut jit = Vp::builder()
+    let mut oracle = Vp::builder()
         .isa(IsaConfig::rv32imc())
-        .jit_threshold(1)
+        .block_cache(false)
         .build();
-    load_src(&mut jit, ALIASED_PINGPONG);
-    assert_eq!(jit.run(), RunOutcome::Break);
-    assert_eq!(cpu_state(jit.cpu()), cpu_state(jc.cpu()));
-    let stats = jit.dispatch_stats();
-    assert!(stats.jit_blocks > 0, "{stats:?}");
-    assert!(stats.jit_exec > 500, "{stats:?}");
+    load_src(&mut oracle, ALIASED_PINGPONG);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(oracle.cpu()), cpu_state(chained.cpu()));
 }
 
 /// A self-chained hot loop whose body is patched (store + `fence.i`)
@@ -129,14 +167,14 @@ fn chained_successors_are_severed_on_smc_invalidation() {
     assert!(stats.chain_links > 0, "{stats:?}");
     assert!(stats.chain_hits > 100, "{stats:?}");
 
-    // The reference interpreter agrees.
-    let mut reference = Vp::builder()
+    // The oracle agrees.
+    let mut oracle = Vp::builder()
         .isa(IsaConfig::rv32imc())
-        .fast_dispatch(false)
+        .block_cache(false)
         .build();
-    load_src(&mut reference, PATCHED_LOOP);
-    assert_eq!(reference.run(), RunOutcome::Break);
-    assert_eq!(cpu_state(reference.cpu()), cpu_state(vp.cpu()));
+    load_src(&mut oracle, PATCHED_LOOP);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(oracle.cpu()), cpu_state(vp.cpu()));
 }
 
 #[test]
@@ -210,12 +248,45 @@ loop:
     assert!(stats.fused_lowered > 0, "{stats:?}");
     assert!(stats.fused_exec >= 64, "{stats:?}");
 
-    // Identical architectural state on the reference path.
-    let mut reference = Vp::builder()
+    // Identical architectural state on the oracle.
+    let mut oracle = Vp::builder()
         .isa(IsaConfig::rv32i())
-        .fast_dispatch(false)
+        .block_cache(false)
         .build();
-    load_src(&mut reference, src);
-    assert_eq!(reference.run(), RunOutcome::Break);
-    assert_eq!(cpu_state(reference.cpu()), cpu_state(vp.cpu()));
+    load_src(&mut oracle, src);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    assert_eq!(cpu_state(oracle.cpu()), cpu_state(vp.cpu()));
+}
+
+#[test]
+fn oracle_declines_a_warm_translation_set() {
+    // A set exported from a production VP seeds other production VPs;
+    // the oracle decodes every step and must neither adopt it nor end
+    // in a different state.
+    let isa = IsaConfig::rv32imc();
+    let mut exporter = Vp::new(isa);
+    load_src(&mut exporter, ALIASED_PINGPONG);
+    assert_eq!(exporter.run(), RunOutcome::Break);
+    let warm = Arc::new(exporter.export_translations());
+    assert!(!warm.is_empty());
+
+    let mut seeded = Vp::new(isa);
+    seeded.set_warm_translations(Some(Arc::clone(&warm)));
+    load_src(&mut seeded, ALIASED_PINGPONG);
+    assert_eq!(seeded.run(), RunOutcome::Break);
+    let stats = seeded.dispatch_stats();
+    assert!(stats.warm_translations > 0, "{stats:?}");
+
+    let mut oracle = Vp::builder().isa(isa).block_cache(false).build();
+    oracle.set_warm_translations(Some(warm));
+    load_src(&mut oracle, ALIASED_PINGPONG);
+    assert_eq!(oracle.run(), RunOutcome::Break);
+    let stats = oracle.dispatch_stats();
+    assert_eq!(stats.warm_translations, 0, "{stats:?}");
+    assert_eq!(cpu_state(oracle.cpu()), cpu_state(seeded.cpu()));
+    let base = assemble(ALIASED_PINGPONG).unwrap().base();
+    assert_eq!(
+        oracle.bus().dump(base, 0x1010).unwrap(),
+        seeded.bus().dump(base, 0x1010).unwrap()
+    );
 }

@@ -472,28 +472,48 @@ fn sharded_campaign_merges_worker_trace_chunks() {
 }
 
 #[test]
-fn reference_dispatch_flag_is_behaviorally_invisible() {
-    // The flag selects the per-insn reference interpreter; outcome,
-    // registers and counts must match the default lowered engine.
-    let fast = run_command("run", LOOP_PROGRAM, &[]).expect("runs");
-    let reference = run_command("run", LOOP_PROGRAM, &["--reference-dispatch"]).expect("runs");
-    assert_eq!(fast, reference);
+fn no_jit_flag_is_behaviorally_invisible() {
+    // `--no-jit` keeps hot blocks on the micro-op engine; outcome,
+    // registers, counts and classifications must match the default.
+    let jit = run_command("run", LOOP_PROGRAM, &[]).expect("runs");
+    let no_jit = run_command("run", LOOP_PROGRAM, &["--no-jit"]).expect("runs");
+    assert_eq!(jit, no_jit);
 
-    let prof = run_command(
-        "profile",
-        LOOP_PROGRAM,
-        &["--isa", "rv32i", "--reference-dispatch"],
-    )
-    .expect("profile");
+    let prof =
+        run_command("profile", LOOP_PROGRAM, &["--isa", "rv32i", "--no-jit"]).expect("profile");
     assert!(prof.contains("insns  : 12"), "{prof}");
 
-    let campaign = run_command(
+    let summary = |out: &str| {
+        out.lines()
+            .filter(|l| l.contains('%') || l.starts_with("mutants:"))
+            .map(String::from)
+            .collect::<Vec<_>>()
+    };
+    let args = ["--mutants", "2", "--isa", "rv32imc"];
+    let jit = run_command("campaign", CAMPAIGN_PROGRAM, &args).expect("campaign");
+    let no_jit = run_command(
         "campaign",
-        "li a0, 1\nli a1, 2\nadd a0, a0, a1\nla t0, d\nsw a0, 0(t0)\nebreak\nd: .word 0",
-        &["--mutants", "1", "--isa", "rv32imc", "--reference-dispatch"],
+        CAMPAIGN_PROGRAM,
+        &[&args[..], &["--no-jit"]].concat(),
     )
     .expect("campaign");
-    assert!(campaign.contains("normal termination rate"), "{campaign}");
+    assert!(jit.contains("normal termination rate"), "{jit}");
+    assert_eq!(summary(&jit), summary(&no_jit), "{jit}\n{no_jit}");
+
+    // `--reference-dispatch` is not an option: the VP has one oracle
+    // (`block_cache(false)`, not CLI-selectable) and one production path.
+    let dir = cli_test_dir("removed-flag");
+    let prog = dir.join("prog.s");
+    std::fs::write(&prog, LOOP_PROGRAM).expect("program");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_s4e"))
+        .arg("run")
+        .arg(&prog)
+        .arg("--reference-dispatch")
+        .output()
+        .expect("s4e runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown option"), "{stderr}");
 }
 
 #[test]

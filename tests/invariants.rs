@@ -120,17 +120,16 @@ proptest! {
         }
     }
 
-    /// The execution-engine tiers are architecturally invisible: for
+    /// The execution engines are architecturally invisible: for
     /// arbitrary generated programs — including memory-heavy ones, where
-    /// roughly half the body is scratch-buffer loads/stores — all five
-    /// tiers finish in exactly the same CPU and memory state: the
-    /// template JIT (promotion threshold pinned to 1 so every block goes
-    /// native immediately), the full interpreter (micro-ops + fusion +
-    /// chaining + RAM fast path, JIT pinned off), the same with the RAM
-    /// fast path ablated, the jump-cache-only tier and the
-    /// per-instruction reference interpreter.
+    /// roughly half the body is scratch-buffer loads/stores — all three
+    /// finish in exactly the same CPU and memory state: the
+    /// decode-per-step oracle (`block_cache(false)`), the production
+    /// engine with the JIT off (micro-ops + fusion + chaining + RAM fast
+    /// path) and the production engine with the JIT on (promotion
+    /// threshold pinned to 1 so every block goes native immediately).
     #[test]
-    fn lowered_execution_matches_reference_dispatch(seed in any::<u64>(), mem_heavy in any::<bool>()) {
+    fn lowered_execution_matches_the_oracle(seed in any::<u64>(), mem_heavy in any::<bool>()) {
         let isa = IsaConfig::rv32imfc();
         let cfg = TortureConfig::new(seed).insns(120).isa(isa).mem_heavy(mem_heavy);
         let p = torture_program(&cfg);
@@ -142,17 +141,11 @@ proptest! {
         let mut jit = Vp::builder().isa(isa).jit_threshold(1).build();
         boot(&mut jit, &image).expect("boots");
         prop_assert_eq!(jit.run_for(10_000_000), RunOutcome::Break);
-        let mut bus_path_only = Vp::builder().isa(isa).mem_fast_path(false).build();
-        boot(&mut bus_path_only, &image).expect("boots");
-        prop_assert_eq!(bus_path_only.run_for(10_000_000), RunOutcome::Break);
-        let mut jump_cache_only = Vp::builder().isa(isa).micro_ops(false).build();
-        boot(&mut jump_cache_only, &image).expect("boots");
-        prop_assert_eq!(jump_cache_only.run_for(10_000_000), RunOutcome::Break);
-        let mut reference = Vp::builder().isa(isa).fast_dispatch(false).build();
-        boot(&mut reference, &image).expect("boots");
-        prop_assert_eq!(reference.run_for(10_000_000), RunOutcome::Break);
+        let mut oracle = Vp::builder().isa(isa).block_cache(false).build();
+        boot(&mut oracle, &image).expect("boots");
+        prop_assert_eq!(oracle.run_for(10_000_000), RunOutcome::Break);
 
-        for other in [&jit, &bus_path_only, &jump_cache_only, &reference] {
+        for other in [&jit, &oracle] {
             prop_assert_eq!(full.cpu().pc(), other.cpu().pc());
             prop_assert_eq!(full.cpu().cycles(), other.cpu().cycles());
             prop_assert_eq!(full.cpu().instret(), other.cpu().instret());
@@ -169,7 +162,8 @@ proptest! {
             );
         }
         // Memory-heavy programs must actually exercise the fast path on
-        // the full tier (otherwise this differential proves little).
+        // the production engine (otherwise this differential proves
+        // little).
         if mem_heavy {
             prop_assert!(full.dispatch_stats().mem_fast_hits > 0);
         }
